@@ -83,6 +83,7 @@ __all__ = [
     "MeshShard",
     "ReplicaSet",
     "Topology",
+    "removal_topology",
     "rendezvous_rank",
     "rendezvous_shard",
     "KIND_MESH_FORWARD",
@@ -1049,6 +1050,40 @@ class MeshShard(TpsBroker):
             self._stalled_replays[cursor] = bounds
         return {"ok": True, "floor": floor}
 
+    def retire(self, survivors: Topology, pump: Callable[[], Any],
+               coverage_rounds: int = 1000) -> List[str]:
+        """The leaving-shard half of a removal, shared by every mesh
+        runner: refuse while a durable cursor's handler is pinned to this
+        process or while this shard's own history has no follower to
+        survive in, pump until every follower acknowledged that history
+        (it then lives on in their replica logs, where the archivist
+        fetch path serves it), and hand every remote durable subscription
+        to its home under ``survivors``.  Returns the moved cursor names;
+        any raise leaves the shard live."""
+        for subscription in self.index.subscriptions():
+            if isinstance(subscription, DurableSubscription) \
+                    and subscription.peer_id is None:
+                raise ValueError(
+                    "durable cursor %r has a local handler pinned to "
+                    "shard %s; detach it before removing the shard"
+                    % (subscription.cursor_name, self.peer_id))
+        if self.event_log is not None and self._replication_target() > 0:
+            if self._replication_factor < 1:
+                raise ValueError(
+                    "shard %r holds durable records but the mesh does not "
+                    "replicate (replication_factor=0); its history would "
+                    "be lost" % self.peer_id)
+            self.ensure_replica_coverage()
+            for _ in range(coverage_rounds):
+                if self.replication_covered():
+                    break
+                pump()
+            if not self.replication_covered():
+                raise NetworkError(
+                    "shard %r's history is not fully replicated to its "
+                    "followers; aborting the removal" % self.peer_id)
+        return self.handoff_durable_subscriptions(survivors, pump=pump)
+
     def handoff_durable_subscriptions(
             self, topology: Topology,
             pump: Optional[Callable[[], Any]] = None) -> List[str]:
@@ -1056,21 +1091,15 @@ class MeshShard(TpsBroker):
         re-homes away from this shard under ``topology``; returns the
         moved cursor names.  ``pump`` drives the fabric while in-flight
         ack windows settle (the mesh runner passes its flush loop).
-        Local-handler durable subscriptions cannot migrate — their
-        handler lives in this process — and raise."""
+        Local-handler durable subscriptions stay put — their handler
+        lives in this process (:meth:`retire` refuses to leave them)."""
         moved: List[str] = []
         if self.event_log is None:
             return moved
         for subscription in list(self.index.subscriptions()):
-            if not isinstance(subscription, DurableSubscription):
+            if not isinstance(subscription, DurableSubscription) \
+                    or subscription.peer_id is None:
                 continue
-            if subscription.peer_id is None:
-                if self.peer_id in topology:
-                    continue  # rebalance: a pinned local sub may stay put
-                raise NetworkError(
-                    "durable cursor %r has a local handler pinned to "
-                    "shard %s; detach it before removing the shard"
-                    % (subscription.cursor_name, self.peer_id))
             new_home = topology.shard_for(subscription.peer_id)
             if new_home == self.peer_id:
                 continue
@@ -1301,6 +1330,23 @@ class MeshShard(TpsBroker):
             self.replicas.close()
 
 
+def removal_topology(topology: Topology, shard_id: str,
+                     replication_factor: int) -> Topology:
+    """The topology after ``shard_id`` leaves (epoch + 1), refused when
+    the shard is unknown or the survivors could not keep
+    ``replication_factor`` followers per shard — the first gate of every
+    mesh runner's ``remove_shard``."""
+    if shard_id not in topology:
+        raise ValueError("no shard %r in this mesh" % shard_id)
+    proposed = topology.without_shard(shard_id)
+    if replication_factor >= len(proposed):
+        raise ValueError(
+            "removing %r would leave %d shards — too few for "
+            "replication_factor=%d" % (shard_id, len(proposed),
+                                       replication_factor))
+    return proposed
+
+
 class BrokerMesh:
     """N broker shards cooperating as one logical TPS broker.
 
@@ -1309,6 +1355,13 @@ class BrokerMesh:
     forwards between shards only when a conforming subscriber lives
     remotely.  Call :meth:`run_until_idle` to drain queued publishes,
     forwards and deliveries to quiescence.
+
+    Membership, draining and stats are written once, here.  The fabric
+    is the simulator's shared network; a runner on another in-process
+    fabric (:class:`~repro.apps.tps.procmesh.SocketMesh`) overrides only
+    the fabric hooks: :meth:`_shard_network`, :meth:`_joined`,
+    :meth:`_discard`, :meth:`_fabric_idle`, :meth:`_record_stall`,
+    :meth:`_commit_topology` and :meth:`flush`.
     """
 
     def __init__(self, network: SimulatedNetwork,
@@ -1336,19 +1389,47 @@ class BrokerMesh:
         #: :class:`~repro.apps.tps.pipeline.ReplicationStage`.
         self.replication_factor = config.replication_factor
         self._broker_kwargs = config.broker_kwargs
-        self.shards: List[MeshShard] = [
-            self._spawn_shard(shard_id) for shard_id in config.shard_ids
-        ]
-        for shard in self.shards:
-            shard.set_topology(self.topology)
-        self._by_id = {shard.peer_id: shard for shard in self.shards}
+        self.shards: List[MeshShard] = []
+        self._by_id: Dict[str, MeshShard] = {}
+        for shard_id in config.shard_ids:
+            self._joined(self._spawn_shard(shard_id))
+        self._commit_topology(self.topology)
 
     def _spawn_shard(self, shard_id: str) -> MeshShard:
         kwargs = dict(self._broker_kwargs)
         if self.log_root is not None:
             kwargs["log_dir"] = os.path.join(self.log_root, shard_id)
-        return MeshShard(shard_id, self.network,
+        return MeshShard(shard_id, self._shard_network(shard_id),
                          replication_factor=self.replication_factor, **kwargs)
+
+    # -- fabric hooks ------------------------------------------------------
+
+    def _shard_network(self, shard_id: str) -> Any:
+        """The network a (re)spawned shard registers on."""
+        return self.network
+
+    def _joined(self, shard: MeshShard) -> None:
+        """Admit a shard that came up (at construction or by a join)."""
+        self.shards.append(shard)
+        self._by_id[shard.peer_id] = shard
+
+    def _discard(self, shard: MeshShard) -> None:
+        """Tear down a failed joiner or a leaver (closing unregisters it
+        from the fabric)."""
+        shard.close()
+
+    def _fabric_idle(self) -> bool:
+        return not self.network.pending()
+
+    def _record_stall(self) -> None:
+        self.network.stats.record_stall()
+
+    def _commit_topology(self, topology: Topology) -> None:
+        self.topology = topology
+        for shard in self.shards:
+            shard.set_topology(topology)
+
+    # -- addressing --------------------------------------------------------
 
     def followers_of(self, shard_id: str) -> List[str]:
         """The follower shards replicating ``shard_id``'s records."""
@@ -1374,11 +1455,6 @@ class BrokerMesh:
 
     # -- elastic membership ------------------------------------------------
 
-    def _commit_topology(self, topology: Topology) -> None:
-        self.topology = topology
-        for shard in self.shards:
-            shard.set_topology(topology)
-
     def add_shard(self, shard_id: Optional[str] = None) -> MeshShard:
         """Grow the mesh by one live shard (epoch + 1).
 
@@ -1399,10 +1475,9 @@ class BrokerMesh:
             shard.set_topology(proposed)
             shard._sync_summaries()
         except Exception:
-            shard.close()
+            self._discard(shard)
             raise
-        self.shards.append(shard)
-        self._by_id[new_id] = shard
+        self._joined(shard)
         self._commit_topology(proposed)
         # Follower sets shifted with the membership: probe any follower
         # a shard never replicated to so the gap-resend protocol
@@ -1415,49 +1490,19 @@ class BrokerMesh:
                      coverage_rounds: int = 1000) -> Topology:
         """Retire one shard for good (epoch + 1), losing nothing.
 
-        The leaving shard's own records must first be fully replicated
-        (``replication_covered`` — its history then survives in its
-        followers' replica logs, where the archivist fetch path serves
-        it), then every durable subscription homed there is handed to
-        its new rendezvous home.  Only after both gates pass does the
-        topology commit and the shard close; any failure before that
-        aborts with the epoch unchanged and the shard still live.
+        The leaving shard runs :meth:`MeshShard.retire`: its own records
+        must first be fully replicated, then every durable subscription
+        homed there is handed to its new rendezvous home.  Only after
+        both gates pass does the topology commit and the shard close;
+        any failure before that aborts with the epoch unchanged and the
+        shard still live.
         """
-        leaving = self._by_id.get(shard_id)
-        if leaving is None:
-            raise ValueError("no shard %r in this mesh" % shard_id)
-        proposed = self.topology.without_shard(shard_id)
-        if self.replication_factor >= len(proposed):
-            raise ValueError(
-                "removing %r would leave %d shards — too few for "
-                "replication_factor=%d" % (shard_id, len(proposed),
-                                           self.replication_factor))
-        for subscription in leaving.index.subscriptions():
-            if isinstance(subscription, DurableSubscription) \
-                    and subscription.peer_id is None:
-                raise ValueError(
-                    "durable cursor %r has a local handler pinned to "
-                    "shard %s; detach it before removing the shard"
-                    % (subscription.cursor_name, shard_id))
+        proposed = removal_topology(self.topology, shard_id,
+                                    self.replication_factor)
+        leaving = self._by_id[shard_id]
         self.run_until_idle()
-        has_history = leaving.event_log is not None \
-            and leaving._replication_target() > 0
-        if has_history and self.replication_factor < 1:
-            raise ValueError(
-                "shard %r holds durable records but the mesh does not "
-                "replicate (replication_factor=0); its history would be "
-                "lost" % shard_id)
-        if has_history:
-            leaving.ensure_replica_coverage()
-            for _ in range(coverage_rounds):
-                if leaving.replication_covered():
-                    break
-                self.flush()
-            if not leaving.replication_covered():
-                raise NetworkError(
-                    "shard %r's history is not fully replicated to its "
-                    "followers; aborting the removal" % shard_id)
-        leaving.handoff_durable_subscriptions(proposed, pump=self.flush)
+        leaving.retire(proposed, pump=self.flush,
+                       coverage_rounds=coverage_rounds)
         self.run_until_idle()
         # Point of no return: commit, purge the leaver from routing
         # state (set_topology drops its summaries on every survivor),
@@ -1465,7 +1510,7 @@ class BrokerMesh:
         self.shards.remove(leaving)
         del self._by_id[shard_id]
         self._commit_topology(proposed)
-        leaving.close()
+        self._discard(leaving)
         for shard in self.shards:
             shard.ensure_replica_coverage()
         return proposed
@@ -1528,6 +1573,10 @@ class BrokerMesh:
             progressed += shard.flush_delivery()
         return progressed
 
+    def _idle(self) -> bool:
+        return self._fabric_idle() and not any(
+            shard.pending_deliveries() for shard in self.shards)
+
     def run_until_idle(self, max_rounds: int = 10_000) -> int:
         """Pump rounds until no queued message and no buffered event
         remain; returns the total activity count.
@@ -1540,15 +1589,14 @@ class BrokerMesh:
         for _ in range(max_rounds):
             progressed = self.flush()
             total += progressed
-            if not progressed and not self.network.pending():
+            if not progressed and self._idle():
                 return total
-        if not self.network.pending() and not any(
-                shard.pending_deliveries() for shard in self.shards):
+        if self._idle():
             return total  # the final round drained the mesh: not a stall
-        self.network.stats.record_stall()
-        raise NetworkError("mesh did not go idle in %d rounds "
-                           "(%d messages queued, %d deliveries buffered)"
-                           % (max_rounds, self.network.pending(),
+        self._record_stall()
+        raise NetworkError("mesh %r did not go idle in %d rounds "
+                           "(%d deliveries buffered)"
+                           % (self.name, max_rounds,
                               sum(s.pending_deliveries() for s in self.shards)))
 
     # -- observability -----------------------------------------------------
@@ -1580,3 +1628,9 @@ class BrokerMesh:
     def close(self) -> None:
         for shard in self.shards:
             shard.close()
+
+    def __enter__(self) -> "BrokerMesh":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -2,28 +2,30 @@
 
 Two deployment shapes of the very same :class:`~repro.apps.tps.mesh.MeshShard`:
 
-- :class:`SocketMesh` — every shard on its own :class:`SocketNetwork`
-  node of one shared-loop :class:`SocketHub`, all in this process.  The
-  cheapest way to put the whole mesh protocol on real sockets: tests and
-  benchmarks drive it deterministically (pump, then inspect), yet every
-  publish, forward, replica batch and ack crosses a Unix-domain socket.
+- :class:`SocketMesh` — :class:`~repro.apps.tps.mesh.BrokerMesh` on a
+  socket fabric: every shard on its own :class:`SocketNetwork` node of
+  one shared-loop :class:`SocketHub`, all in this process.  It inherits
+  membership, draining and stats and overrides only the fabric hooks,
+  so tests and benchmarks drive it deterministically (pump, then
+  inspect) while every publish, forward, replica batch and ack crosses
+  a Unix-domain socket.
 - :class:`ProcessMesh` — one shard per OS process, each pumping its own
   event loop, the control plane (ping / stats / metrics / trace / admin
   / stop) riding the same length-prefixed socket protocol as the data
-  plane.  This is the soak harness's substrate: real processes, real
-  kernel buffers, real backpressure.
+  plane.  Its driver orchestrates membership with remote requests over
+  the same epoch-versioned :class:`~repro.apps.tps.topology.Topology`;
+  a removal's leaving-shard half is the shard process's ``retire`` job.
 
-Both expose the :class:`~repro.apps.tps.mesh.BrokerMesh` addressing
-surface (``shard_ids``/``shard_for``) so client code moves between the
-simulator and the socket fabrics unchanged — including the elastic
-membership surface: :meth:`add_shard` / :meth:`remove_shard` /
-:meth:`rebalance`, driven by the same epoch-versioned
-:class:`~repro.apps.tps.topology.Topology` the simulator mesh commits.
-Admin operations live in one table (:data:`ADMIN_REGISTRY`) shared by
-the HTTP routes, the socket ``proc_admin`` kind and the CLI, and every
-admin response carries the uniform ``{ok, op, shard, epoch, result}``
-envelope.  Mutating control operations are guarded by a shared bearer
-token minted at mesh construction.
+Every runner removes a shard through the same gates:
+:func:`~repro.apps.tps.mesh.removal_topology` refuses an unknown shard
+or a replication-factor underrun, and the leaver runs
+:meth:`~repro.apps.tps.mesh.MeshShard.retire` (guards, replica-coverage
+wait, cursor handoff).  Admin operations live in one table
+(:data:`ADMIN_REGISTRY`) shared by the HTTP routes, the socket
+``proc_admin`` kind and the CLI, and every admin response carries the
+uniform ``{ok, op, shard, epoch, result}`` envelope.  Mutating control
+operations are guarded by a shared bearer token minted at mesh
+construction.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import multiprocessing
 import os
 import secrets
+import shutil
 import socket
 import tempfile
 import time
@@ -42,8 +45,7 @@ from ...net.socket_transport import SocketHub, SocketNetwork
 from ...obs.bridge import register_network_metrics
 from ...obs.http import HttpError, ObsHttpServer, json_body
 from ...obs.tracing import render_timeline, stitch
-from .broker import DurableSubscription
-from .mesh import MeshShard, rendezvous_shard
+from .mesh import BrokerMesh, MeshShard, removal_topology, rendezvous_shard
 from .topology import MeshConfig, Topology
 
 __all__ = [
@@ -90,12 +92,14 @@ def shard_addresses(sock_dir: str, shard_ids: List[str],
             for shard_id in shard_ids}
 
 
-def _allocate_tcp_ports(shard_ids: List[str]) -> Dict[str, int]:
-    """One free loopback port per shard, picked by binding port 0 and
-    releasing it (the standard ephemeral-port trick; SO_REUSEADDR keeps
-    the just-released port bindable by the shard that inherits it)."""
+def _allocate_addresses(sock_dir: str, shard_ids: List[str],
+                        scheme: str) -> Dict[str, str]:
+    """Addresses for shards about to listen.  TCP shards get one free
+    loopback port each, picked by binding port 0 and releasing it (the
+    standard ephemeral-port trick; SO_REUSEADDR keeps the just-released
+    port bindable by the shard that inherits it)."""
     ports: Dict[str, int] = {}
-    for shard_id in shard_ids:
+    for shard_id in shard_ids if scheme == "tcp" else ():
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -103,7 +107,7 @@ def _allocate_tcp_ports(shard_ids: List[str]) -> Dict[str, int]:
             ports[shard_id] = sock.getsockname()[1]
         finally:
             sock.close()
-    return ports
+    return shard_addresses(sock_dir, shard_ids, scheme=scheme, ports=ports)
 
 
 def _jsonable(value: Any) -> Any:
@@ -116,6 +120,18 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+def _trace_body(spans: List[dict], trace: Optional[str]) -> Any:
+    """The stitched-trace response body: ``{spans, trace, timeline}`` for
+    one trace id, ``{spans, traces}`` (ids in first-seen order) without."""
+    result: Dict[str, Any] = {"spans": spans}
+    if trace is not None:
+        result["trace"] = trace
+        result["timeline"] = render_timeline(spans, trace)
+    else:
+        result["traces"] = list(dict.fromkeys(span["trace"] for span in spans))
+    return _jsonable(result)
 
 
 def merge_expositions(pages: List[str]) -> str:
@@ -252,15 +268,18 @@ def run_admin_op(mesh: Any, op: str, shard_id: Optional[str] = None,
             "epoch": mesh.epoch, "result": result}
 
 
-class SocketMesh:
-    """N mesh shards on one :class:`SocketHub` — real sockets, one process.
+class SocketMesh(BrokerMesh):
+    """:class:`~repro.apps.tps.mesh.BrokerMesh` on a socket fabric: N mesh
+    shards on one :class:`SocketHub` — real sockets, one process.
 
-    Client peers join via :meth:`client_network` (a hub node pre-routed
-    to every shard) and the whole fabric drains deterministically with
-    :meth:`run_until_idle`, mirroring ``BrokerMesh`` on the simulator.
-    :meth:`serve_http` opens one HTTP operational endpoint for the whole
-    mesh (polled from :meth:`flush`); admin routes require
-    :attr:`auth_token`.
+    Membership, draining and stats are ``BrokerMesh``'s; this class only
+    supplies the fabric hooks: each shard gets its own listening hub
+    node (a restart reuses it), joins and leaves add and drop that
+    node's route on every shard and client node, and the hub decides
+    idleness.  Client peers join via :meth:`client_network` (a hub node
+    pre-routed to every shard).  :meth:`serve_http` opens one HTTP
+    operational endpoint for the whole mesh (polled from
+    :meth:`flush`); admin routes require :attr:`auth_token`.
     """
 
     def __init__(self, shard_count: Optional[int] = None, name: str = "mesh",
@@ -271,70 +290,28 @@ class SocketMesh:
                  scheme: str = "unix",
                  topology: Optional[Topology] = None,
                  **broker_kwargs):
-        config = MeshConfig(topology=topology, shard_count=shard_count,
-                            name=name, log_root=log_root,
-                            replication_factor=replication_factor,
-                            broker_kwargs=broker_kwargs)
         if scheme not in ("unix", "tcp"):
             raise ValueError("scheme must be 'unix' or 'tcp'")
+        if topology is None and shard_count is not None:
+            # Resolved here so the deprecation warning names our caller.
+            topology = MeshConfig(shard_count=shard_count, name=name).topology
+            shard_count = None
         self.hub = SocketHub()
         self._tmp_dir = sock_dir is None
         self.sock_dir = sock_dir if sock_dir is not None \
             else tempfile.mkdtemp(prefix="repro-socketmesh-")
         self.auth_token = auth_token if auth_token is not None \
             else secrets.token_hex(8)
-        #: The committed membership view; live membership changes go
-        #: through :meth:`add_shard` / :meth:`remove_shard`.
-        self.topology = config.topology
-        self.name = config.topology.name
-        self._log_root = config.log_root
-        self._replication_factor = config.replication_factor
-        self._broker_kwargs = config.broker_kwargs
         self.scheme = scheme
-        self.addresses = shard_addresses(
-            self.sock_dir, config.shard_ids, scheme=scheme,
-            ports=_allocate_tcp_ports(config.shard_ids) if scheme == "tcp"
-            else None)
-        self.shards: List[MeshShard] = []
+        self.addresses: Dict[str, str] = {}
         self.nodes: List[SocketNetwork] = []
         self._client_nodes: List[SocketNetwork] = []
-        for shard_id in config.shard_ids:
-            node = self.hub.network(shard_id + "-node")
-            node.listen(self.addresses[shard_id])
-            self.shards.append(self._spawn_shard(shard_id, node))
-            self.nodes.append(node)
-        for node in self.nodes:
-            node.add_routes({sid: addr
-                             for sid, addr in self.addresses.items()
-                             if sid + "-node" != node.node_id})
-        self._by_id = {shard.peer_id: shard for shard in self.shards}
-        self._commit_topology(self.topology)
         self.http: Optional[ObsHttpServer] = None
         self._http_polling = False
-
-    def _spawn_shard(self, shard_id: str, node: SocketNetwork) -> MeshShard:
-        kwargs = dict(self._broker_kwargs)
-        if self._log_root is not None:
-            kwargs["log_dir"] = os.path.join(self._log_root, shard_id)
-        shard = MeshShard(shard_id, node,
-                          replication_factor=self._replication_factor,
-                          **kwargs)
-        register_network_metrics(shard.metrics, node)
-        return shard
-
-    @property
-    def shard_ids(self) -> List[str]:
-        return [shard.peer_id for shard in self.shards]
-
-    @property
-    def epoch(self) -> int:
-        return self.topology.epoch
-
-    def shard_for(self, peer_id: str) -> str:
-        return rendezvous_shard(peer_id, self.shard_ids)
-
-    def shard(self, shard_id: str) -> MeshShard:
-        return self._by_id[shard_id]
+        super().__init__(None, shard_count=shard_count, name=name,
+                         log_root=log_root,
+                         replication_factor=replication_factor,
+                         topology=topology, **broker_kwargs)
 
     def client_network(self, node_id: str, **kwargs) -> SocketNetwork:
         """A hub node for client peers, pre-routed to every shard (and
@@ -344,142 +321,56 @@ class SocketMesh:
         self._client_nodes.append(node)
         return node
 
-    # -- elastic membership ------------------------------------------------
+    # -- fabric hooks ------------------------------------------------------
+
+    def _spawn_shard(self, shard_id: str) -> MeshShard:
+        shard = super()._spawn_shard(shard_id)
+        register_network_metrics(shard.metrics, shard.network)
+        return shard
+
+    def _shard_network(self, shard_id: str) -> SocketNetwork:
+        """The shard's own listening hub node (TCP binds port 0: no other
+        process has to recompute the address), routed to every current
+        shard; a restart reuses the node its predecessor ran on."""
+        if shard_id in self._by_id:
+            return self._by_id[shard_id].network
+        node = self.hub.network(shard_id + "-node")
+        node.listen(shard_addresses(self.sock_dir, [shard_id], self.scheme,
+                                    ports={shard_id: 0})[shard_id])
+        node.add_routes(self.addresses)
+        return node
+
+    def _joined(self, shard: MeshShard) -> None:
+        super()._joined(shard)
+        address = shard.network.listen_addresses[0]
+        for other in self.nodes + self._client_nodes:
+            other.add_route(shard.peer_id, address)
+        self.addresses[shard.peer_id] = address
+        self.nodes.append(shard.network)
+
+    def _discard(self, shard: MeshShard) -> None:
+        super()._discard(shard)
+        # The closed node stays in hub.nodes: its counters must keep
+        # participating in the idle balance.
+        shard.network.close()
+        if shard.network in self.nodes:  # a leaver, not a failed joiner
+            self.nodes.remove(shard.network)
+            del self.addresses[shard.peer_id]
+            for other in self.nodes + self._client_nodes:
+                other.remove_route(shard.peer_id)
+
+    def _fabric_idle(self) -> bool:
+        """Every data frame sent was received (or accounted lost)."""
+        return self.hub.idle()
+
+    def _record_stall(self) -> None:
+        for node in self.nodes:
+            node.stats.record_stall()
 
     def _commit_topology(self, topology: Topology) -> None:
-        self.topology = topology
-        for shard, node in zip(self.shards, self.nodes):
-            shard.set_topology(topology)
-            node.set_epoch(topology.epoch)
-
-    def add_shard(self, shard_id: Optional[str] = None) -> MeshShard:
-        """Grow the mesh by one live shard (epoch + 1), mirroring
-        :meth:`~repro.apps.tps.mesh.BrokerMesh.add_shard` over the hub:
-        the newcomer gets its own listening node, resynchronises
-        summaries BEFORE the survivors commit, and a failed join leaves
-        the epoch unchanged (its dead node stays in the hub's ledger so
-        the idle accounting keeps balancing)."""
-        proposed = self.topology.with_shard(shard_id)
-        new_id = [sid for sid in proposed.shard_ids
-                  if sid not in self.topology][0]
-        address = shard_addresses(
-            self.sock_dir, [new_id], scheme=self.scheme,
-            ports=_allocate_tcp_ports([new_id]) if self.scheme == "tcp"
-            else None)[new_id]
-        node = self.hub.network(new_id + "-node")
-        node.listen(address)
-        node.add_routes(dict(self.addresses))
-        shard = self._spawn_shard(new_id, node)
-        try:
-            shard.set_topology(proposed)
-            shard._sync_summaries()
-        except Exception:
-            shard.close()
-            node.close()  # stays in hub.nodes: its counters must keep
-            raise         # participating in the idle balance
-        self.addresses[new_id] = address
-        for other in self.nodes + self._client_nodes:
-            other.add_route(new_id, address)
-        self.shards.append(shard)
-        self.nodes.append(node)
-        self._by_id[new_id] = shard
-        self._commit_topology(proposed)
-        for existing in self.shards:
-            existing.ensure_replica_coverage()
-        return shard
-
-    def remove_shard(self, shard_id: str,
-                     coverage_rounds: int = 1000) -> Topology:
-        """Retire one shard for good (epoch + 1), losing nothing — the
-        same gates as the simulator mesh (history fully replicated,
-        durable subscriptions handed off) plus the socket bookkeeping:
-        the leaver's node closes but stays in the hub's ledger, and its
-        route disappears from every surviving and client node."""
-        leaving = self._by_id.get(shard_id)
-        if leaving is None:
-            raise ValueError("no shard %r in this mesh" % shard_id)
-        proposed = self.topology.without_shard(shard_id)
-        if self._replication_factor >= len(proposed):
-            raise ValueError(
-                "removing %r would leave %d shards — too few for "
-                "replication_factor=%d" % (shard_id, len(proposed),
-                                           self._replication_factor))
-        for subscription in leaving.index.subscriptions():
-            if isinstance(subscription, DurableSubscription) \
-                    and subscription.peer_id is None:
-                raise ValueError(
-                    "durable cursor %r has a local handler pinned to "
-                    "shard %s; detach it before removing the shard"
-                    % (subscription.cursor_name, shard_id))
-        self.run_until_idle()
-        has_history = leaving.event_log is not None \
-            and leaving._replication_target() > 0
-        if has_history and self._replication_factor < 1:
-            raise ValueError(
-                "shard %r holds durable records but the mesh does not "
-                "replicate (replication_factor=0); its history would be "
-                "lost" % shard_id)
-        if has_history:
-            leaving.ensure_replica_coverage()
-            for _ in range(coverage_rounds):
-                if leaving.replication_covered():
-                    break
-                self.flush()
-            if not leaving.replication_covered():
-                raise NetworkError(
-                    "shard %r's history is not fully replicated to its "
-                    "followers; aborting the removal" % shard_id)
-        leaving.handoff_durable_subscriptions(proposed, pump=self.flush)
-        self.run_until_idle()
-        position = self.shards.index(leaving)
-        node = self.nodes[position]
-        del self.shards[position]
-        del self.nodes[position]
-        del self._by_id[shard_id]
-        self.addresses.pop(shard_id, None)
-        self._commit_topology(proposed)
-        leaving.close()
-        node.close()  # stays in hub.nodes for the idle balance
-        for other in self.nodes + self._client_nodes:
-            other.remove_route(shard_id)
+        super()._commit_topology(topology)
         for shard in self.shards:
-            shard.ensure_replica_coverage()
-        return proposed
-
-    def rebalance(self) -> Dict[str, Any]:
-        """Move every durable subscription to its rendezvous home under
-        the committed topology; returns the moved cursor names per
-        source shard."""
-        moved: Dict[str, List[str]] = {}
-        for shard in list(self.shards):
-            cursors = shard.handoff_durable_subscriptions(self.topology,
-                                                          pump=self.flush)
-            if cursors:
-                moved[shard.peer_id] = cursors
-        self.run_until_idle()
-        return {"epoch": self.topology.epoch, "moved": moved}
-
-    # -- crash/restart ------------------------------------------------------
-
-    def restart_shard(self, shard_id: str) -> MeshShard:
-        """Crash-restart one shard in place, mirroring
-        :meth:`~repro.apps.tps.mesh.BrokerMesh.restart_shard` but over
-        the socket fabric: the replacement reopens the same event log on
-        the same hub node, resynchronises summaries and replays each
-        durable subscription's unacknowledged backlog."""
-        old = self._by_id.get(shard_id)
-        if old is None:
-            raise ValueError("no shard %r in this mesh" % shard_id)
-        position = self.shards.index(old)
-        old.close()  # unregisters from the node, closes the log
-        shard = self._spawn_shard(shard_id, self.nodes[position])
-        shard.set_topology(self.topology)
-        self.shards[position] = shard
-        self._by_id[shard_id] = shard
-        shard.recover()
-        return shard
-
-    # -- draining ----------------------------------------------------------
+            shard.network.set_epoch(topology.epoch)
 
     def flush(self) -> int:
         progressed = self.hub.poll(0.001)
@@ -496,32 +387,7 @@ class SocketMesh:
                 self._http_polling = False
         return progressed
 
-    def run_until_idle(self, max_rounds: int = 10_000) -> int:
-        """Pump the hub and the shard delivery buffers until the whole
-        fabric is quiescent: every data frame sent was received (or
-        accounted lost) and no shard holds buffered deliveries."""
-        total = 0
-        for _ in range(max_rounds):
-            progressed = self.flush()
-            total += progressed
-            if not progressed and self.hub.idle() and not any(
-                    shard.pending_deliveries() for shard in self.shards):
-                return total
-        raise NetworkError("socket mesh did not go idle in %d rounds"
-                           % max_rounds)
-
     # -- observability -----------------------------------------------------
-
-    def stats(self) -> dict:
-        per_shard = {shard.peer_id: shard.stats() for shard in self.shards}
-        return {
-            "epoch": self.topology.epoch,
-            "shards": per_shard,
-            "events_routed": sum(s.events_routed for s in self.shards),
-            "forwards_sent": sum(s.forwards_sent for s in self.shards),
-            "forward_events": sum(s.forward_events for s in self.shards),
-            "batch_events": sum(s.batch_events for s in self.shards),
-        }
 
     def transport_stats(self) -> Dict[str, dict]:
         return {node.node_id: node.transport_snapshot()
@@ -575,9 +441,10 @@ class SocketMesh:
         if self.http is not None:
             self.http.close()
             self.http = None
-        for shard in self.shards:
-            shard.close()
+        super().close()
         self.hub.close()
+        if self._tmp_dir:
+            shutil.rmtree(self.sock_dir, ignore_errors=True)
 
 
 def _install_mesh_routes(server: ObsHttpServer, mesh: SocketMesh) -> None:
@@ -634,18 +501,7 @@ def _install_mesh_routes(server: ObsHttpServer, mesh: SocketMesh) -> None:
 
     def trace_route(query: dict, body: bytes):
         trace = query.get("id")
-        spans = mesh.trace_events(trace)
-        result = {"spans": spans}
-        if trace is not None:
-            result["trace"] = trace
-            result["timeline"] = render_timeline(spans, trace)
-        else:
-            seen: List[str] = []
-            for span in spans:
-                if span["trace"] not in seen:
-                    seen.append(span["trace"])
-            result["traces"] = seen
-        return _jsonable(result)
+        return _trace_body(mesh.trace_events(trace), trace)
 
     def admin_route(op: str):
         def handler(query: dict, body: bytes):
@@ -780,43 +636,11 @@ def _shard_process_main(shard_id: str, topology: Dict[str, Any],
         stopping.append(True)
         return b"OK"
 
-    def do_retire(survivors: Topology) -> List[str]:
-        """The leaving-shard half of a removal: gate on full replica
-        coverage of the shard's own history, then hand every durable
-        subscription to its new rendezvous home.  Any raise leaves the
-        shard live and the epoch unchanged."""
-        shard = state["shard"]
-        for subscription in shard.index.subscriptions():
-            if isinstance(subscription, DurableSubscription) \
-                    and subscription.peer_id is None:
-                raise ValueError(
-                    "durable cursor %r has a local handler pinned to "
-                    "shard %s; detach it before removing the shard"
-                    % (subscription.cursor_name, shard_id))
-        has_history = shard.event_log is not None \
-            and shard._replication_target() > 0
-        if has_history and replication_factor < 1:
-            raise ValueError(
-                "shard %r holds durable records but the mesh does not "
-                "replicate (replication_factor=0); its history would "
-                "be lost" % shard_id)
-        if has_history:
-            shard.ensure_replica_coverage()
-            for _ in range(_RETIRE_COVERAGE_ROUNDS):
-                if shard.replication_covered():
-                    break
-                pump_once()
-            if not shard.replication_covered():
-                raise NetworkError(
-                    "shard %r's history is not fully replicated to its "
-                    "followers; aborting the removal" % shard_id)
-        return shard.handoff_durable_subscriptions(survivors,
-                                                   pump=pump_once)
-
     def run_job(op: str, args: dict) -> Any:
         if op == "retire":
-            survivors = Topology.from_dict(args["topology"])
-            return {"handed_off": do_retire(survivors)}
+            return {"handed_off": state["shard"].retire(
+                Topology.from_dict(args["topology"]), pump=pump_once,
+                coverage_rounds=_RETIRE_COVERAGE_ROUNDS)}
         if op == "rebalance":
             moved = state["shard"].handoff_durable_subscriptions(
                 state["topology"], pump=pump_once)
@@ -1060,18 +884,7 @@ def _install_node_routes(server: ObsHttpServer, state: Dict[str, Any],
                                    (trace or "").encode("utf-8")):
             if isinstance(result, dict) and "spans" in result:
                 span_lists.append(result["spans"])
-        spans = stitch(span_lists, trace)
-        result = {"spans": spans}
-        if trace is not None:
-            result["trace"] = trace
-            result["timeline"] = render_timeline(spans, trace)
-        else:
-            seen: List[str] = []
-            for span in spans:
-                if span["trace"] not in seen:
-                    seen.append(span["trace"])
-            result["traces"] = seen
-        return _jsonable(result)
+        return _trace_body(stitch(span_lists, trace), trace)
 
     def admin_route(op: str):
         def handler(query: dict, body: bytes):
@@ -1169,10 +982,8 @@ class ProcessMesh:
         self._replication_factor = config.replication_factor
         self._broker_kwargs = config.broker_kwargs
         self._start_timeout = start_timeout
-        self.addresses = shard_addresses(
-            self.sock_dir, config.shard_ids, scheme=scheme,
-            ports=_allocate_tcp_ports(config.shard_ids) if scheme == "tcp"
-            else None)
+        self.addresses = _allocate_addresses(self.sock_dir,
+                                             config.shard_ids, scheme)
         # fork (where available) keeps startup cheap and works however the
         # parent was launched; the child builds its event loop and sockets
         # from scratch, so no live I/O state crosses the fork.
@@ -1256,10 +1067,8 @@ class ProcessMesh:
         proposed = self.topology.with_shard(shard_id)
         new_id = [sid for sid in proposed.shard_ids
                   if sid not in self.topology][0]
-        address = shard_addresses(
-            self.sock_dir, [new_id], scheme=self.scheme,
-            ports=_allocate_tcp_ports([new_id]) if self.scheme == "tcp"
-            else None)[new_id]
+        address = _allocate_addresses(self.sock_dir, [new_id],
+                                      self.scheme)[new_id]
         self.addresses[new_id] = address
         process = self._spawn_process(new_id, proposed)
         self.network.add_route(new_id, address)
@@ -1286,14 +1095,8 @@ class ProcessMesh:
         own node so hosted subscribers keep acking; the process is
         stopped only after the handoff lands and the survivors commit
         the new epoch."""
-        if shard_id not in self.topology:
-            raise ValueError("no shard %r in this mesh" % shard_id)
-        proposed = self.topology.without_shard(shard_id)
-        if self._replication_factor >= len(proposed):
-            raise ValueError(
-                "removing %r would leave %d shards — too few for "
-                "replication_factor=%d" % (shard_id, len(proposed),
-                                           self._replication_factor))
+        proposed = removal_topology(self.topology, shard_id,
+                                    self._replication_factor)
         self._run_job(shard_id, "retire",
                       {"topology": proposed.as_dict()}, timeout=timeout)
         self._broadcast_topology(proposed, proposed.shard_ids)
@@ -1468,6 +1271,8 @@ class ProcessMesh:
                 process.terminate()
                 process.join(timeout=5.0)
         self.network.close()
+        if self._tmp_dir:
+            shutil.rmtree(self.sock_dir, ignore_errors=True)
 
     def close(self) -> None:
         self.stop()

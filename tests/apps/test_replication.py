@@ -13,6 +13,7 @@ Covers the three legs of mesh-wide durability:
 
 import os
 import shutil
+from contextlib import ExitStack
 
 import pytest
 
@@ -30,13 +31,23 @@ from repro.net.network import SimulatedNetwork
 from repro.serialization.envelope import envelope_home
 
 
+_worlds = ExitStack()
+
+
+@pytest.fixture(autouse=True)
+def _close_worlds():
+    """Teardown for :func:`make_world`: close every mesh it opened."""
+    with _worlds:
+        yield
+
+
 def make_world(tmp_path, shard_count=3, replication_factor=0,
                drop_rate=0.0, seed=0, name="mesh", **broker_kwargs):
     network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
-    mesh = BrokerMesh(network, shard_count=shard_count, name=name,
-                      log_root=str(tmp_path / "logs"),
-                      replication_factor=replication_factor,
-                      **broker_kwargs)
+    mesh = _worlds.enter_context(BrokerMesh(
+        network, shard_count=shard_count, name=name,
+        log_root=str(tmp_path / "logs"),
+        replication_factor=replication_factor, **broker_kwargs))
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -358,10 +369,9 @@ class TestMeshWideBacklog:
         cursor fetched them are a real loss — surfaced in
         ``retention_lost_records``, never silently skipped."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2,
-                          log_root=str(tmp_path / "logs"),
-                          log_kwargs={"segment_max_bytes": 256,
-                                      "max_segments": 1})
+        mesh = _worlds.enter_context(BrokerMesh(
+            network, shard_count=2, log_root=str(tmp_path / "logs"),
+            log_kwargs={"segment_max_bytes": 256, "max_segments": 1}))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
